@@ -21,10 +21,11 @@ the pieces most applications need:
   with incremental index maintenance (``session.apply(delta)``);
 * :class:`GraphDB` — the unified facade: open / ingest / apply / query /
   stream / count / histogram / stats over the whole store + service stack;
-* :class:`Telemetry` / :class:`MetricsRegistry` / :class:`Tracer` /
-  :class:`SlowQueryLog` — the unified observability context threaded
-  through every layer (``repro.obs``): labelled metric families, sampled
-  end-to-end query traces, and a structured slow-query log;
+* :class:`Telemetry` / :class:`MetricsRegistry` / :class:`SlowQueryLog` /
+  :class:`TraceContext` / :class:`Span` — the unified observability
+  context threaded through every layer (``repro.obs``): labelled metric
+  families, one span model for sampled query and write traces, and a
+  structured slow-query log;
 * :class:`GraphServer` / :class:`GraphCatalog` / :class:`GraphClient` —
   multi-tenant network serving of the facade over a length-prefixed JSON
   frame protocol (``repro.server`` / ``repro.client``);
@@ -80,7 +81,6 @@ from repro.matching import (
     GraphMatcher,
     GMVariant,
     OrderingMethod,
-    mjoin,
     mjoin_iter,
 )
 from repro.baselines import JMMatcher, TMMatcher, ISOMatcher, bruteforce_homomorphisms
@@ -97,7 +97,7 @@ from repro.service import (
 )
 from repro.api import GraphDB
 from repro.explain import PlanOperator, QueryPlan, plan_digest
-from repro.obs import MetricsRegistry, SlowQueryLog, Telemetry, Tracer
+from repro.obs import MetricsRegistry, SlowQueryLog, Span, Telemetry, TraceContext
 from repro.wal import DeltaLog, RecoveryReport, WalDurability
 from repro.server import GraphCatalog, GraphServer
 from repro.client import GraphClient, RemoteSnapshot, RemoteStream, RoutedClient
@@ -144,7 +144,6 @@ __all__ = [
     "GraphMatcher",
     "GMVariant",
     "OrderingMethod",
-    "mjoin",
     "mjoin_iter",
     "JMMatcher",
     "TMMatcher",
@@ -175,8 +174,9 @@ __all__ = [
     "plan_digest",
     "MetricsRegistry",
     "SlowQueryLog",
+    "Span",
     "Telemetry",
-    "Tracer",
+    "TraceContext",
     "DeltaLog",
     "RecoveryReport",
     "WalDurability",

@@ -90,7 +90,7 @@ class GraphDB:
         if telemetry is _DEFAULT_TELEMETRY:
             telemetry = Telemetry()
         #: The database's :class:`~repro.obs.Telemetry` context — metrics
-        #: registry, tracer and slow-query log — shared by every layer
+        #: registry, span ring and slow-query log — shared by every layer
         #: (store, sessions, WAL, service).  ``None`` when the database
         #: was opened with ``telemetry=None`` (instrumentation disabled).
         self.telemetry = telemetry
@@ -349,8 +349,9 @@ class GraphDB:
 
         Admission-controlled and version-pinned: the query runs on a
         worker against a pinned snapshot of the head.  ``trace_id`` forces
-        end-to-end tracing regardless of the telemetry sample rate; the
-        span tree lands in ``report.extra["trace"]``.
+        tracing regardless of the telemetry sample rate: the stage spans
+        land in the tenant's span ring (:meth:`trace_spans`) and in
+        ``report.extra["trace"]``.
         """
         return self.service.submit(
             self._as_query(query, name),

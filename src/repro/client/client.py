@@ -90,16 +90,15 @@ _IDEMPOTENT_OPS = frozenset(
 )
 
 
-def _encode_trace(trace) -> Optional[object]:
-    """Wire form of a trace argument: a plain id string passes through
-    (pre-distributed-tracing servers understand it), a
-    :class:`~repro.obs.TraceContext` encodes to its structured form so
-    the server can parent its spans under the caller's."""
+def _encode_trace(trace) -> Optional[Dict[str, object]]:
+    """Wire form of a trace argument: a trace id or a
+    :class:`~repro.obs.TraceContext` (whose parent span the server hangs
+    its spans under), always sent as ``TraceContext.to_wire()``."""
     if trace is None:
         return None
-    if isinstance(trace, TraceContext):
-        return trace.to_wire()
-    return str(trace)
+    if not isinstance(trace, TraceContext):
+        trace = TraceContext(str(trace))
+    return trace.to_wire()
 
 
 def _encode_query(query: QueryLike):

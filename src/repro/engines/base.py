@@ -14,10 +14,9 @@ cancellation, or the consumer simply abandoning the generator
 from __future__ import annotations
 
 import time
-import warnings
 from abc import ABC
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.exceptions import EngineError, StaleIndexError
 from repro.explain.plan import PlanOperator, QueryPlan
@@ -139,60 +138,8 @@ class Engine(ABC):
         a list of actual-counter dicts aligned with the children of the
         plan :meth:`_describe_plan` produces, flushed in a ``finally``
         block so an abandoned (first-``k``) run still records its work.
-        Overrides that predate profiling are still called without the
-        keyword (see :meth:`_call_iter_evaluate`).
-
-        The default implementation adapts a legacy blocking
-        :meth:`_evaluate` override (materialise, then replay); that path
-        bypasses the streaming budget plumbing and is deprecated.
         """
-        if type(self)._evaluate is Engine._evaluate:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement _iter_evaluate "
-                "(preferred) or the legacy _evaluate"
-            )
-        warnings.warn(
-            f"{type(self).__name__} only implements the blocking _evaluate; "
-            "occurrences are fully materialised before the first one is "
-            "yielded, bypassing the streaming budget plumbing. "
-            "Implement _iter_evaluate instead.",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        yield from self._evaluate(graph, query, budget)
-
-    def _evaluate(
-        self, graph: DataGraph, query: PatternQuery, budget: Budget
-    ) -> List[Tuple[int, ...]]:
-        """Eagerly enumerate occurrences (legacy hook).
-
-        Kept for backwards compatibility with pre-streaming subclasses;
-        the default drains :meth:`_iter_evaluate` under the match cap.
-        """
-        clock = budget.start_clock()
-        occurrences: List[Tuple[int, ...]] = []
-        for occurrence in self._iter_evaluate(graph, query, budget):
-            occurrences.append(occurrence)
-            if clock.check_matches(len(occurrences)):
-                break
-        return occurrences
-
-    def _call_iter_evaluate(
-        self, graph: DataGraph, query: PatternQuery, budget: Budget, profile=None
-    ) -> Iterator[Tuple[int, ...]]:
-        """Invoke :meth:`_iter_evaluate`, tolerating pre-profiling overrides.
-
-        Third-party subclasses registered before the ``profile`` keyword
-        existed are called with the original three-argument shape (a
-        generator function raises ``TypeError`` at call time, before any
-        iteration, so the fallback is safe).
-        """
-        if profile is None:
-            return self._iter_evaluate(graph, query, budget)
-        try:
-            return self._iter_evaluate(graph, query, budget, profile=profile)
-        except TypeError:
-            return self._iter_evaluate(graph, query, budget)
+        raise NotImplementedError(f"{type(self).__name__} must implement _iter_evaluate")
 
     # ------------------------------------------------------------------ #
     # public API
@@ -277,7 +224,7 @@ class Engine(ABC):
         clock = budget.start_clock()
         count = 0
         try:
-            for occurrence in self._call_iter_evaluate(graph, rewritten, budget, profile):
+            for occurrence in self._iter_evaluate(graph, rewritten, budget, profile=profile):
                 clock.check_time()
                 yield occurrence
                 count += 1

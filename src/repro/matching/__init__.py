@@ -14,7 +14,7 @@ from repro.matching.ordering import (
     bj_order,
     search_order,
 )
-from repro.matching.mjoin import mjoin, mjoin_iter, count_matches
+from repro.matching.mjoin import mjoin_iter
 from repro.matching.stream import MatchStream
 from repro.matching.gm import GraphMatcher, GMVariant
 
@@ -28,9 +28,7 @@ __all__ = [
     "ri_order",
     "bj_order",
     "search_order",
-    "mjoin",
     "mjoin_iter",
-    "count_matches",
     "GraphMatcher",
     "GMVariant",
 ]

@@ -14,12 +14,11 @@ isomorphism (the extension the paper calls "promising" in §7.2).
 
 from __future__ import annotations
 
-import time
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import TimeoutExceeded
 from repro.matching.ordering import OrderingMethod, search_order
-from repro.matching.result import Budget, BudgetClock
+from repro.matching.result import Budget
 from repro.rig.graph import RuntimeIndexGraph
 
 
@@ -195,41 +194,3 @@ def mjoin_iter(
             stats["candidates"] = stats.get("candidates", 0) + counters[0]
             stats["intersections"] = stats.get("intersections", 0) + counters[1]
 
-
-def mjoin(
-    rig: RuntimeIndexGraph,
-    order: Optional[Sequence[int]] = None,
-    budget: Optional[Budget] = None,
-    injective: bool = False,
-) -> Tuple[List[Tuple[int, ...]], bool, float]:
-    """Enumerate occurrences eagerly.
-
-    Returns ``(occurrences, hit_match_limit, elapsed_seconds)``.  A
-    :class:`TimeoutExceeded` exception propagates to the caller (GM converts
-    it into a timed-out :class:`MatchReport`).
-    """
-    start = time.perf_counter()
-    occurrences: List[Tuple[int, ...]] = []
-    hit_limit = False
-    clock = budget.start_clock() if budget is not None else None
-    for occurrence in mjoin_iter(rig, order=order, budget=budget, injective=injective):
-        occurrences.append(occurrence)
-        if clock is not None and clock.check_matches(len(occurrences)):
-            hit_limit = True
-            break
-    return occurrences, hit_limit, time.perf_counter() - start
-
-
-def count_matches(
-    rig: RuntimeIndexGraph,
-    order: Optional[Sequence[int]] = None,
-    budget: Optional[Budget] = None,
-) -> int:
-    """Count occurrences without materialising them (subject to the budget)."""
-    count = 0
-    clock = budget.start_clock() if budget is not None else None
-    for _ in mjoin_iter(rig, order=order, budget=budget):
-        count += 1
-        if clock is not None and clock.check_matches(count):
-            break
-    return count

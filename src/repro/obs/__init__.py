@@ -1,4 +1,4 @@
-"""Unified observability: metrics registry, query tracing, slow-query log.
+"""Unified observability: metrics registry, tracing, slow-query log.
 
 The stack's six layers (session caches, MVCC store, query service, wire
 server, WAL durability, engines) each kept ad-hoc counters with no common
@@ -9,26 +9,26 @@ surface.  This package is that surface:
   exposition format.  The legacy stats objects (``CacheStats``,
   ``ServiceStats``, ``StoreStats``, ``WalDurability``) keep their public
   accessors and *mirror* into a shared per-tenant registry.
-* :class:`Tracer` / :class:`Trace` — sampled per-query span trees
-  (queue-wait → pin → plan → index-build → first-match → stream-drain →
-  wire-encode) with trace ids that propagate from ``GraphClient`` through
-  the wire frames to the service and engine layers and back — including
-  through error payloads.
+* :class:`TraceContext` / :class:`Span` / :class:`SpanRecorder` /
+  :func:`assemble_trace` — the one span model (see
+  :mod:`repro.obs.context`).  A trace id follows a write from the routing
+  client through the primary's fold, journal and publish into every
+  replica's apply, and a read from the client through the server's
+  ``query`` op span to the service's per-query stage spans (queue-wait →
+  pin → plan → index-build → first-match → stream-drain → wire-encode);
+  :func:`trace_document` renders one query's stages into
+  ``report.extra["trace"]``.  Trace ids ride back on error payloads too.
 * :class:`SlowQueryLog` — a JSON-lines record (bounded ring + optional
   file) of every query over a configurable threshold, span breakdown
   included.
-* :class:`Telemetry` — the bundle of all three, threaded through
-  ``GraphDB`` → store → service → WAL as one context object.
+* :class:`Telemetry` — the per-tenant bundle of registry, slow log, span
+  ring and query sampling rate, threaded through ``GraphDB`` → store →
+  service → WAL as one context object.
 * :func:`percentile` / :class:`Reservoir` — the single shared quantile
   implementation (nearest-rank) and its bounded-memory sampling companion.
 
-The cluster observability plane (PR 10) extends the surface across nodes:
+Across nodes:
 
-* :class:`TraceContext` / :class:`Span` / :class:`SpanRecorder` /
-  :func:`assemble_trace` — cross-node trace propagation: one trace id
-  follows a write from the routing client through the primary's fold,
-  journal and publish into every replica's apply (see
-  :mod:`repro.obs.context`).
 * :mod:`repro.obs.health` — the shared ``ready`` / ``degraded`` /
   ``unhealthy`` / ``unreachable`` vocabulary behind the ``health`` wire
   op and the router's probing.
@@ -47,6 +47,8 @@ from repro.obs.context import (
     TraceContext,
     assemble_trace,
     new_span_id,
+    new_trace_id,
+    trace_document,
     trace_span,
 )
 from repro.obs.events import EventLog
@@ -71,7 +73,6 @@ from repro.obs.metrics import (
 from repro.obs.quantiles import Reservoir, percentile
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import NULL_TRACE, Trace, Tracer, new_trace_id
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -85,16 +86,13 @@ __all__ = [
     "GaugeFamily",
     "HistogramFamily",
     "MetricsRegistry",
-    "NULL_TRACE",
     "Reservoir",
     "SlowQueryLog",
     "Span",
     "SpanRecorder",
     "Telemetry",
     "TenantLoggerAdapter",
-    "Trace",
     "TraceContext",
-    "Tracer",
     "assemble_trace",
     "classify_tenant",
     "configure_logging",
@@ -103,6 +101,7 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "percentile",
+    "trace_document",
     "trace_span",
     "worst",
 ]

@@ -1,22 +1,33 @@
-"""Cross-node trace propagation: contexts, spans, recorders, assembly.
+"""Tracing: trace contexts, spans, per-node recorders and assembly.
 
-PR 7's :class:`~repro.obs.trace.Trace` answers "where did this query's
-time go?" *inside one process*.  This module makes a trace survive the
-hops PRs 5–9 added: a :class:`TraceContext` — ``(trace_id, parent
-span_id, sampling bit)`` — rides every wire frame, every replication
-frame and (via a thread-local) every fold, so one trace id names a tree
-of :class:`Span` records scattered across the client, the primary and
-every replica.  Each node keeps its part of the tree in a bounded
-:class:`SpanRecorder` (one per :class:`~repro.obs.Telemetry`, queryable
-over the wire with the ``spans`` op); :func:`assemble_trace` stitches
-the parts back into one tree.
+One span model covers every hop a query or a write takes.  A
+:class:`TraceContext` — ``(trace_id, parent span_id, sampling bit)`` —
+rides every wire frame, every replication frame and (via a thread-local)
+every fold, so one trace id names a tree of :class:`Span` records
+scattered across the client, the primary and every replica.  Each node
+keeps its part of the tree in a bounded :class:`SpanRecorder` (one per
+:class:`~repro.obs.Telemetry`, queryable over the wire with the ``spans``
+op); :func:`assemble_trace` stitches the parts back into one tree.
+
+Queries
+-------
+A query is traced when its tenant samples it
+(``Telemetry(sample_rate=...)``) or when the caller forces it with a
+trace id.  The service opens one ``query`` root span per traced ticket
+and, when the ticket finishes, records the stage spans under it
+(``queue_wait``, ``pin``, ``plan``, ``index_build``, ``first_match``,
+``stream_drain``); the wire server adds ``wire_encode`` and
+``stream_flush`` and hangs the root under its own op span (``query``
+or ``stream``).
+Stages known only from the engine's phase timings are explicit-duration
+spans (``Span.finish(seconds=...)``), so the engine hot loops never see
+tracing.  :func:`trace_document` renders a root and its stages into the
+flat form ``report.extra["trace"]`` and the slow-query log carry.
 
 Wire form
 ---------
 ``TraceContext.to_wire()`` is ``{"id": ..., "span": ..., "sampled":
-...}``; :meth:`TraceContext.from_wire` also accepts the **legacy plain
-string** trace id PR 7 clients put in the frame's ``trace`` field, so
-old clients force-sample new servers unchanged.
+...}``; :meth:`TraceContext.from_wire` decodes exactly that.
 
 Propagation inside a process
 ----------------------------
@@ -44,8 +55,15 @@ __all__ = [
     "assemble_trace",
     "current",
     "new_span_id",
+    "new_trace_id",
+    "trace_document",
     "trace_span",
 ]
+
+
+def new_trace_id() -> str:
+    """A fresh 16-hex-character trace id."""
+    return uuid.uuid4().hex[:16]
 
 
 def new_span_id() -> str:
@@ -78,8 +96,6 @@ class TraceContext:
     @classmethod
     def new(cls) -> "TraceContext":
         """A fresh sampled root context (no parent span yet)."""
-        from repro.obs.trace import new_trace_id
-
         return cls(new_trace_id(), None, True)
 
     def child(self, span_id: str) -> "TraceContext":
@@ -92,26 +108,14 @@ class TraceContext:
 
     @classmethod
     def from_wire(cls, value) -> Optional["TraceContext"]:
-        """Decode a frame's ``trace`` field.
+        """Decode a frame's ``trace`` field (the :meth:`to_wire` dict).
 
-        Accepts the structured dict, the legacy plain-string trace id
-        (implicitly sampled, no parent span), or ``None``; anything else
-        is ignored rather than failing the request.
+        ``None`` and anything malformed decode to ``None`` rather than
+        failing the request.
         """
-        if value is None:
+        if not isinstance(value, dict) or not value.get("id"):
             return None
-        if isinstance(value, str):
-            return cls(value, None, True) if value else None
-        if isinstance(value, dict):
-            trace_id = value.get("id") or value.get("trace_id")
-            if not trace_id:
-                return None
-            return cls(
-                str(trace_id),
-                value.get("span"),
-                bool(value.get("sampled", True)),
-            )
-        return None
+        return cls(str(value["id"]), value.get("span"), bool(value.get("sampled", True)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -187,6 +191,38 @@ class Span:
             f"Span({self.name!r}, trace={self.trace_id}, id={self.span_id}, "
             f"parent={self.parent_id}, node={self.node})"
         )
+
+
+def trace_document(
+    root: Dict[str, object], stages: Iterable[Dict[str, object]]
+) -> Dict[str, object]:
+    """One query's span tree in the flat form reports and slow logs carry.
+
+    ``root`` and ``stages`` are span documents (:meth:`Span.to_dict`):
+    the query's root and its direct children.  Each stage becomes
+    ``{"name", "seconds", "span_id", "parent_id", **meta}``; the root's
+    metadata lands under ``"meta"``.
+    """
+    document: Dict[str, object] = {
+        "trace_id": root["trace_id"],
+        "span_id": root["span_id"],
+        "name": root["name"],
+        "started_at": root["started_at"],
+        "seconds": root["seconds"],
+        "spans": [
+            {
+                "name": stage["name"],
+                "seconds": stage["seconds"],
+                "span_id": stage["span_id"],
+                "parent_id": stage["parent_id"],
+                **stage.get("meta", {}),
+            }
+            for stage in stages
+        ],
+    }
+    if root.get("meta"):
+        document["meta"] = dict(root["meta"])
+    return document
 
 
 class SpanRecorder:

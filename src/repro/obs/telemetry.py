@@ -1,14 +1,14 @@
 """Telemetry: the one context object threaded through every serving layer.
 
-A :class:`Telemetry` bundles the three observability surfaces —
+A :class:`Telemetry` bundles the observability surfaces —
 :class:`~repro.obs.metrics.MetricsRegistry`,
-:class:`~repro.obs.trace.Tracer` and
-:class:`~repro.obs.slowlog.SlowQueryLog` — so the stack passes a single
-handle down instead of three.  One instance per tenant: a
-:class:`~repro.api.GraphDB` creates its own by default and hands it to its
-store (which binds the WAL and every published session epoch) and its query
-service; the wire server then merely *reads* the tenant's bundle for the
-``metrics`` and ``slow_queries`` ops.
+:class:`~repro.obs.slowlog.SlowQueryLog`, the tenant's
+:class:`~repro.obs.context.SpanRecorder` and the query sampling rate — so
+the stack passes a single handle down instead of four.  One instance per
+tenant: a :class:`~repro.api.GraphDB` creates its own by default and hands
+it to its store (which binds the WAL and every published session epoch) and
+its query service; the wire server then merely *reads* the tenant's bundle
+for the ``metrics``, ``slow_queries`` and ``spans`` ops.
 
 Passing ``telemetry=None`` to ``GraphDB.open`` switches the whole subsystem
 off — no registry mirroring, no sampling decision, no slow-log check — which
@@ -17,41 +17,40 @@ is the "disabled" arm of ``benchmarks/bench_obs.py``'s overhead comparison.
 
 from __future__ import annotations
 
-from typing import Optional
+import random
+from typing import Optional, Union
 
-from repro.obs.context import SpanRecorder
+from repro.obs.context import SpanRecorder, TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace import Tracer
 
 
 class Telemetry:
-    """Per-tenant observability bundle: registry + tracer + slow log + spans.
+    """Per-tenant observability bundle: registry + slow log + spans + sampling.
 
     Parameters
     ----------
-    registry / tracer / slow_log / spans:
+    registry / slow_log / spans:
         Pre-built components to adopt; anything omitted is constructed from
         the scalar knobs below.
     sample_rate:
-        Tracer sampling probability for unforced queries (default ``0.0``:
-        only explicitly requested trace ids produce traces).
+        Probability that a query without a caller-supplied trace is traced
+        (default ``0.0``: only explicitly requested traces are recorded).
     slow_query_seconds:
         Slow-log threshold; ``None`` (default) disables the log, ``0.0``
         records every query.
     slow_log_path:
         Optional JSON-lines file the slow log also appends to.
     span_capacity:
-        Size of the cross-node span ring (see
-        :class:`~repro.obs.context.SpanRecorder`): how many finished
-        distributed-trace spans this tenant retains for the ``spans``
-        wire op and cross-node trace assembly.
+        Size of the span ring (see
+        :class:`~repro.obs.context.SpanRecorder`): how many finished spans
+        this tenant retains for the ``spans`` wire op and cross-node trace
+        assembly.
     """
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         slow_log: Optional[SlowQueryLog] = None,
         spans: Optional[SpanRecorder] = None,
         sample_rate: float = 0.0,
@@ -61,7 +60,6 @@ class Telemetry:
         span_capacity: int = 512,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(sample_rate=sample_rate)
         self.slow_log = (
             slow_log
             if slow_log is not None
@@ -72,9 +70,29 @@ class Telemetry:
             )
         )
         self.spans = spans if spans is not None else SpanRecorder(span_capacity)
+        self.sample_rate = max(0.0, min(1.0, float(sample_rate)))
+
+    def trace_context(
+        self, trace: Optional[Union[str, TraceContext]] = None
+    ) -> Optional[TraceContext]:
+        """Decide, once per query, the context it is traced under.
+
+        A caller-supplied ``trace`` (a trace id or a sampled
+        :class:`~repro.obs.context.TraceContext`) always wins, whatever the
+        rate; otherwise the query is sampled with probability
+        ``sample_rate`` into a fresh root context.  ``None`` means untraced.
+        """
+        if trace is not None:
+            if not isinstance(trace, TraceContext):
+                return TraceContext(str(trace))
+            return trace if trace.sampled else None
+        rate = self.sample_rate
+        if rate > 0.0 and (rate >= 1.0 or random.random() < rate):
+            return TraceContext.new()
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Telemetry(registry={self.registry!r}, tracer={self.tracer!r}, "
-            f"slow_log={self.slow_log!r})"
+            f"Telemetry(registry={self.registry!r}, sample_rate={self.sample_rate}, "
+            f"slow_log={self.slow_log!r}, spans={self.spans!r})"
         )

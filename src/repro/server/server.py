@@ -80,6 +80,13 @@ def _decode_query(payload, name: Optional[str] = None) -> PatternQuery:
     )
 
 
+def _child_context(span: Optional[trace_context.Span]):
+    """The context a traced read's query runs under: a child of ``span``."""
+    if span is None:
+        return None
+    return trace_context.TraceContext(span.trace_id, span.span_id)
+
+
 def _decode_budget(payload) -> Optional[Budget]:
     if payload is None:
         return None
@@ -99,11 +106,17 @@ class _ServerStream:
         window: int,
         page_timeout: Optional[float],
         database: Optional[GraphDB] = None,
+        span: Optional[trace_context.Span] = None,
+        recorder: Optional[trace_context.SpanRecorder] = None,
     ) -> None:
         self.connection = connection
         self.stream_id = stream_id
         self.result = result
         self.database = database
+        #: The traced stream's op span (the query root's parent) and the
+        #: tenant's span ring it is recorded into when the pump exits.
+        self.span = span
+        self.recorder = recorder
         self._credits = threading.Semaphore(max(1, window))
         self._closed = threading.Event()
         self._page_timeout = page_timeout
@@ -173,21 +186,19 @@ class _ServerStream:
             encode_started = time.perf_counter()
             wire = report.to_wire(include_occurrences=False)
             self._encode_seconds += time.perf_counter() - encode_started
-            trace = self.result.ticket.trace
-            if trace:
-                # Extend the service-side span tree with the server's
-                # encoding cost and re-finish: the root now covers the
-                # whole stream drain including wire encoding.  The wall
-                # time the pump spent forwarding pages — credit waits,
-                # event-loop round trips — is accounted as ``stream_flush``
-                # (the remainder over the already-attributed stages), so
-                # the children keep summing to the root.
-                trace.add_span("wire_encode", self._encode_seconds)
-                trace.finish()
-                flush = trace.seconds - trace.span_seconds()
+            if self.span is not None:
+                # The service left the query's root open under this
+                # stream's op span: add the server's encoding cost, then
+                # account the wall time the pump spent forwarding pages —
+                # credit waits, event-loop round trips — as
+                # ``stream_flush`` (the remainder over the recorded
+                # stages), so the children keep summing to the root.
+                ticket = self.result.ticket
+                ticket.record_stage("wire_encode", self._encode_seconds)
+                flush = ticket.span.finish().seconds - ticket.staged_seconds
                 if flush > 0:
-                    trace.add_span("stream_flush", flush)
-                wire["extra"]["trace"] = trace.to_dict()
+                    ticket.record_stage("stream_flush", flush)
+                wire["extra"]["trace"] = ticket.finish_trace()
             sent = self.connection.send_from_thread(
                 {"stream": self.stream_id, "end": True, "report": wire}
             )
@@ -197,11 +208,16 @@ class _ServerStream:
         finally:
             self.result.close()
             self.connection.discard_stream(self.stream_id)
+            if self.span is not None:
+                # An abandoned or failed stream still closes its root, so
+                # stages the worker recorded never dangle as orphans.
+                self.result.ticket.finish_trace()
+                self.recorder.record(self.span.finish())
         if error is not None and not self._closed.is_set():
-            trace = self.result.ticket.trace
-            if trace and getattr(error, "trace_id", None) is None:
+            span = self.result.ticket.span
+            if span is not None and getattr(error, "trace_id", None) is None:
                 try:
-                    error.trace_id = trace.trace_id
+                    error.trace_id = span.trace_id
                 except Exception:  # pragma: no cover - exotic exception types
                     pass
             try:
@@ -504,6 +520,27 @@ class _Connection:
         recorder = telemetry.spans if telemetry is not None else None
         return context, recorder
 
+    def _read_span(
+        self, name: str, frame: Dict[str, object], database: GraphDB, graph: str
+    ):
+        """Open the op span of a traced read, parented under the caller's context.
+
+        Returns ``(span, recorder)``, or ``(None, None)`` for the common
+        untraced request.  The query's root span hangs under this span,
+        so one traced read is one tree in the tenant's span ring.
+        """
+        context, recorder = self._trace_scope(frame, database)
+        if context is None or not context.sampled or recorder is None:
+            return None, None
+        span = trace_context.Span(
+            name,
+            context.trace_id,
+            parent_id=context.span_id,
+            node=self.server.node,
+            graph=graph,
+        )
+        return span, recorder
+
     def note_tenant_bytes(self, database: Optional[GraphDB], nbytes: int) -> None:
         """Account response/stream egress against the tenant's registry."""
         if not nbytes or database is None:
@@ -705,44 +742,34 @@ class _Connection:
         name, database = self._db(frame)
         query = _decode_query(frame.get("query"), frame.get("name"))
         snapshot = self._pin_for(frame, name)
-        context, recorder = self._trace_scope(frame, database)
-        # A propagated read context also lands one op span in the tenant's
-        # cross-node ring, so routed reads show up on whichever node
-        # served them when the trace is assembled fleet-wide.
-        span = None
-        if context is not None and context.sampled and recorder is not None:
-            span = trace_context.Span(
-                "query",
-                context.trace_id,
-                parent_id=context.span_id,
-                node=self.server.node,
-                graph=name,
-            )
-        ticket = database.service.submit(
-            query,
-            engine=frame.get("engine"),
-            budget=_decode_budget(frame.get("budget")),
-            deadline_seconds=frame.get("deadline_seconds"),
-            snapshot=snapshot,
-            name=frame.get("name"),
-            trace_id=context.trace_id if context is not None else None,
-        )
-        self._track_ticket(ticket)
+        span, recorder = self._read_span("query", frame, database, name)
+        ticket = None
         try:
+            ticket = database.service.submit(
+                query,
+                engine=frame.get("engine"),
+                budget=_decode_budget(frame.get("budget")),
+                deadline_seconds=frame.get("deadline_seconds"),
+                snapshot=snapshot,
+                name=frame.get("name"),
+                trace_id=_child_context(span),
+            )
+            self._track_ticket(ticket)
             report = await self._run(ticket.result, frame.get("timeout"))
+            encode_started = time.perf_counter()
+            wire = report.to_wire()
+            if span is not None:
+                # The service left the query's root open under this op
+                # span: add the server's encoding cost and close it, so the
+                # tree the client sees covers the server-side wall clock.
+                encode_seconds = time.perf_counter() - encode_started
+                ticket.record_stage("wire_encode", encode_seconds)
+                wire["extra"]["trace"] = ticket.finish_trace()
         finally:
             if span is not None:
+                if ticket is not None:
+                    ticket.finish_trace()
                 recorder.record(span.finish())
-        encode_started = time.perf_counter()
-        wire = report.to_wire()
-        trace = ticket.trace
-        if trace:
-            # The service already finished the root over queue/pin/run;
-            # append the server's encoding cost and re-finish so the tree
-            # the client sees covers the full server-side wall clock.
-            trace.add_span("wire_encode", time.perf_counter() - encode_started)
-            trace.finish()
-            wire["extra"]["trace"] = trace.to_dict()
         return wire
 
     async def _op_count(self, frame):
@@ -874,8 +901,8 @@ class _Connection:
         window = int(frame.get("window") or self.server.stream_window)
         pinned = self._pin_for(frame, name)
         ident = frame["id"]
-        context, _ = self._trace_scope(frame, database)
-        stream_trace_id = context.trace_id if context is not None else None
+        span, recorder = self._read_span("stream", frame, database, name)
+        stream_context = _child_context(span)
         telemetry = getattr(database, "telemetry", None)
         if telemetry is not None:
             telemetry.registry.counter(
@@ -898,7 +925,7 @@ class _Connection:
                         snapshot=snapshot,
                         page_size=page_size,
                         keep_occurrences=False,
-                        trace_id=stream_trace_id,
+                        trace_id=stream_context,
                     )
                 except Exception:
                     snapshot.release()
@@ -911,10 +938,15 @@ class _Connection:
                 page_size=page_size,
                 deadline_seconds=frame.get("deadline_seconds"),
                 keep_occurrences=False,
-                trace_id=stream_trace_id,
+                trace_id=stream_context,
             )
 
-        result = await self._run(open_stream)
+        try:
+            result = await self._run(open_stream)
+        except Exception:
+            if span is not None:
+                recorder.record(span.finish())
+            raise
         stream = _ServerStream(
             self,
             ident,
@@ -922,6 +954,8 @@ class _Connection:
             window,
             self.server.stream_page_timeout,
             database=database,
+            span=span,
+            recorder=recorder,
         )
         self._streams[ident] = stream
         self._track_ticket(result.ticket)

@@ -37,15 +37,14 @@ import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import ApplyReport
 from repro.exceptions import ServiceOverloadedError, StoreError
 from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget, MatchReport, MatchStatus
-from repro.obs.context import TraceContext
-from repro.obs.trace import NULL_TRACE
+from repro.obs.context import Span, SpanRecorder, TraceContext, trace_document
 from repro.query.pattern import PatternQuery
 from repro.session.batch import BatchReport
 from repro.service.stats import ServiceStats
@@ -213,10 +212,14 @@ class QueryTicket:
         self.stream_buffer = stream_buffer
         self.keep_occurrences = keep_occurrences
         self.submitted_at = time.monotonic()
-        #: The query's distributed trace (a no-op :data:`NULL_TRACE` unless
-        #: the owning service sampled this request or the caller forced a
-        #: trace id through the wire protocol).
-        self.trace = NULL_TRACE
+        #: The query's root span: ``None`` unless the owning service
+        #: sampled this request or the caller forced a trace.
+        self.span: Optional[Span] = None
+        self._recorder: Optional[SpanRecorder] = None
+        self._stages: List[Dict[str, object]] = []
+        self._root_recorded = False
+        #: Sum of the recorded stage durations.
+        self.staged_seconds = 0.0
         self.status = TICKET_QUEUED
         self.report: Optional[MatchReport] = None
         self.error: Optional[BaseException] = None
@@ -277,6 +280,37 @@ class QueryTicket:
                 "without a report"
             )
         return self.report
+
+    # tracing (only while ``span`` is set) ------------------------------ #
+
+    def record_stage(self, name: str, seconds: float) -> None:
+        """Record one explicit-duration child span of the root.
+
+        Stages are laid end to end from the root's start, in the order the
+        pipeline ran them; each lands in the tenant's span ring at once.
+        Not locked: the worker records its stages before the ticket
+        finishes, the root's owner (the wire server) only after.
+        """
+        root = self.span
+        stage = Span(name, root.trace_id, parent_id=root.span_id, node=root.node)
+        stage.started_at = root.started_at + self.staged_seconds
+        stage.finish(seconds)
+        self.staged_seconds += stage.seconds
+        document = stage.to_dict()
+        self._stages.append(document)
+        self._recorder.record(document)
+
+    def trace_document(self) -> Dict[str, object]:
+        """The root and its stages so far, as ``report.extra["trace"]``."""
+        return trace_document(self.span.to_dict(), self._stages)
+
+    def finish_trace(self) -> Dict[str, object]:
+        """Finish and record the root span (once); the final trace document."""
+        root = self.span.finish()
+        if not self._root_recorded:
+            self._root_recorded = True
+            self._recorder.record(root)
+        return trace_document(root.to_dict(), self._stages)
 
     # internal: terminal transitions (worker / service side only) -------- #
 
@@ -562,7 +596,7 @@ class QueryService:
         snapshot: Optional[StoreSnapshot] = None,
         page_size: Optional[int] = None,
         keep_occurrences: bool = True,
-        trace_id: Optional[str] = None,
+        trace_id: Optional[Union[str, TraceContext]] = None,
     ) -> QueryTicket:
         """Admit one query for asynchronous execution.
 
@@ -580,10 +614,15 @@ class QueryService:
         final report count-only — pages still flow, but the worker never
         accumulates the full occurrence list.
 
-        ``trace_id`` forces end-to-end tracing for this request regardless
-        of the telemetry sample rate (the wire server passes the client's
-        propagated id through here); without it the service's
-        :class:`~repro.obs.trace.Tracer` decides by sampling.
+        ``trace_id`` (an id or a :class:`~repro.obs.TraceContext`) forces
+        tracing for this request regardless of the telemetry sample rate;
+        without it the telemetry samples.  A traced ticket gets a ``query``
+        root span (:attr:`QueryTicket.span`) and, when it finishes, one
+        child span per pipeline stage in the tenant's span ring.  The
+        worker finishes and records a parentless root itself; a root
+        submitted under a parent span (the wire server's op span) is left
+        open for the parent's owner, which adds its own stages and calls
+        :meth:`QueryTicket.finish_trace`.
         """
         self.stats.note_submitted()
         effective_deadline = (
@@ -613,14 +652,16 @@ class QueryService:
             keep_occurrences=keep_occurrences,
         )
         if self.telemetry is not None:
-            # Callers inside a distributed trace may hand the whole
-            # context; the service's per-query trace keys on the id alone.
-            if isinstance(trace_id, TraceContext):
-                trace_id = trace_id.trace_id
-            ticket.trace = self.telemetry.tracer.trace(
-                "query", trace_id=trace_id
-            )
-            ticket.trace.annotate(query=ticket.name, engine=ticket.engine)
+            context = self.telemetry.trace_context(trace_id)
+            if context is not None:
+                ticket.span = Span(
+                    "query",
+                    context.trace_id,
+                    parent_id=context.span_id,
+                    query=ticket.name,
+                    engine=ticket.engine,
+                )
+                ticket._recorder = self.telemetry.spans
         with self._admission_lock:
             if self._closed:
                 raise StoreError("service is closed")
@@ -665,7 +706,7 @@ class QueryService:
         page_size: int = 256,
         deadline_seconds: Optional[float] = None,
         keep_occurrences: bool = True,
-        trace_id: Optional[str] = None,
+        trace_id: Optional[Union[str, TraceContext]] = None,
     ) -> StreamingResult:
         """Submit a query and page through its results as they are found.
 
@@ -933,20 +974,18 @@ class QueryService:
         pin_seconds: float,
         run_seconds: float,
     ) -> None:
-        """Synthesise the query's span tree and attach it to the report.
+        """Record the query's stage spans and attach its trace to the report.
 
-        The stage breakdown is reconstructed from the engine's own timings:
-        ``plan`` is the matcher's preparation+search phase
-        (``matching_seconds``), ``index_build`` the session-side artifact
-        precompute if one ran, ``first_match`` the gap between planning
-        and the first streamed occurrence, and ``stream_drain`` the
-        remainder of worker-side execution — so the children always sum to
-        ``queue_wait + pin + run`` and the tree stays within a few percent
-        of the root's wall clock.  The server later appends its
-        ``wire_encode`` span and re-finishes the same trace.
+        The stage breakdown comes from the engine's own timings: ``plan``
+        is the matcher's preparation+search phase (``matching_seconds``),
+        ``index_build`` the session-side artifact precompute if one ran,
+        ``first_match`` the gap between planning and the first streamed
+        occurrence, and ``stream_drain`` the remainder of worker-side
+        execution — so the stages always sum to ``queue_wait + pin + run``
+        and stay within a few percent of the root's wall clock.
         """
-        trace = ticket.trace
-        if not trace:
+        root = ticket.span
+        if root is None:
             return
         extra = report.extra
         plan = float(report.matching_seconds or 0.0)
@@ -958,24 +997,29 @@ class QueryService:
             else 0.0
         )
         stream_drain = max(0.0, run_seconds - plan - index_build - first_match)
-        trace.add_span("queue_wait", queue_wait)
-        trace.add_span("pin", pin_seconds)
-        trace.add_span("plan", plan)
+        ticket.record_stage("queue_wait", queue_wait)
+        ticket.record_stage("pin", pin_seconds)
+        ticket.record_stage("plan", plan)
         if index_build:
-            trace.add_span("index_build", index_build)
+            ticket.record_stage("index_build", index_build)
         if first_match_at is not None:
-            trace.add_span("first_match", first_match)
-        trace.add_span("stream_drain", stream_drain)
-        trace.annotate(
+            ticket.record_stage("first_match", first_match)
+        ticket.record_stage("stream_drain", stream_drain)
+        root.meta.update(
             status=report.status.value,
             version=version,
             num_matches=report.num_matches,
         )
-        plan_digest = report.extra.get("plan_digest")
+        plan_digest = extra.get("plan_digest")
         if plan_digest:
-            trace.annotate(plan_digest=plan_digest)
-        trace.finish()
-        extra["trace"] = trace.to_dict()
+            root.meta["plan_digest"] = plan_digest
+        # A root submitted under a parent span stays open for the parent's
+        # owner, which adds its own stages before closing it.
+        extra["trace"] = (
+            ticket.finish_trace()
+            if root.parent_id is None
+            else ticket.trace_document()
+        )
 
     def _record_slow_query(self, ticket: QueryTicket, report, version: int) -> None:
         """Append one structured entry to the slow-query log if over threshold."""
@@ -991,9 +1035,9 @@ class QueryService:
             status=report.status.value,
             num_matches=report.num_matches,
             version=version,
-            trace_id=ticket.trace.trace_id,
+            trace_id=ticket.span.trace_id if ticket.span is not None else None,
             plan_digest=report.extra.get("plan_digest"),
-            trace=ticket.trace.to_dict(),
+            trace=report.extra.get("trace"),
         )
 
     def stats_snapshot(self) -> Dict[str, object]:

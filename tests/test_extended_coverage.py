@@ -25,7 +25,7 @@ from repro.exceptions import (
 )
 from repro.graph.generators import random_labeled_graph
 from repro.matching.gm import GraphMatcher
-from repro.matching.mjoin import mjoin
+from repro.matching.mjoin import mjoin_iter
 from repro.matching.ordering import bj_order, jo_order, ri_order
 from repro.matching.result import Budget
 from repro.query.generators import random_pattern_query
@@ -55,7 +55,7 @@ class TestRIGSetKinds:
     @pytest.mark.parametrize("set_kind", ["set", "roaring", "intbitset"])
     def test_mjoin_answer_independent_of_set_kind(self, paper_context, paper_query, paper_answer, set_kind):
         rig = build_rig(paper_context, paper_query, RIGOptions(set_kind=set_kind)).rig
-        occurrences, _, _ = mjoin(rig)
+        occurrences = list(mjoin_iter(rig))
         assert frozenset(occurrences) == paper_answer
 
     @pytest.mark.parametrize("set_kind", ["set", "roaring"])

@@ -1,11 +1,13 @@
 """Tests for search ordering, MJoin enumeration and the GM pipeline."""
 
+from itertools import islice
+
 import pytest
 
 from repro.baselines.bruteforce import bruteforce_homomorphisms, bruteforce_isomorphisms
 from repro.exceptions import MatchingError
 from repro.matching.gm import GMVariant, GraphMatcher
-from repro.matching.mjoin import count_matches, mjoin, mjoin_iter
+from repro.matching.mjoin import mjoin_iter
 from repro.matching.ordering import OrderingMethod, bj_order, jo_order, ri_order, search_order
 from repro.matching.result import Budget, MatchReport, MatchStatus
 from repro.query.generators import random_pattern_query, template_query
@@ -74,27 +76,29 @@ class TestOrdering:
 
 class TestMJoin:
     def test_paper_answer(self, paper_rig, paper_answer):
-        occurrences, hit_limit, _ = mjoin(paper_rig)
+        occurrences = list(mjoin_iter(paper_rig))
         assert frozenset(occurrences) == paper_answer
-        assert not hit_limit
+        assert len(occurrences) == len(paper_answer)
 
     def test_all_orders_give_same_answer(self, paper_rig, paper_query, paper_answer):
         from itertools import permutations
 
         for order in permutations(paper_query.nodes()):
-            occurrences, _, _ = mjoin(paper_rig, order=list(order))
+            occurrences = list(mjoin_iter(paper_rig, order=list(order)))
             assert frozenset(occurrences) == paper_answer, order
 
     def test_tuples_indexed_by_query_node(self, paper_rig):
-        occurrences, _, _ = mjoin(paper_rig, order=[2, 1, 0])
+        occurrences = list(mjoin_iter(paper_rig, order=[2, 1, 0]))
         # Regardless of the search order, position 0 of the tuple is node A.
         assert all(occ[0] in {A1, A2} for occ in occurrences)
         assert all(occ[1] in {B0, B2} for occ in occurrences)
 
     def test_match_limit(self, paper_rig):
-        occurrences, hit_limit, _ = mjoin(paper_rig, budget=Budget(max_matches=2))
+        iterator = mjoin_iter(paper_rig, budget=Budget(max_matches=2))
+        occurrences = list(islice(iterator, 2))
         assert len(occurrences) == 2
-        assert hit_limit
+        # The cap, not exhaustion, ended the enumeration.
+        assert next(iterator, None) is not None
 
     def test_lazy_iterator(self, paper_rig, paper_answer):
         iterator = mjoin_iter(paper_rig)
@@ -103,18 +107,19 @@ class TestMJoin:
         rest = set(iterator)
         assert rest | {first} == set(paper_answer)
 
-    def test_count_matches(self, paper_rig):
-        assert count_matches(paper_rig) == 4
-        assert count_matches(paper_rig, budget=Budget(max_matches=3)) == 3
+    def test_count_matches(self, paper_graph, paper_query):
+        matcher = GraphMatcher(paper_graph)
+        assert matcher.count(paper_query) == 4
+        assert matcher.count(paper_query, budget=Budget(max_matches=3)) == 3
 
     def test_empty_rig_yields_nothing(self, paper_context):
         query = PatternQuery(["Z", "A"], [(0, 1, "child")])
         rig = build_rig(paper_context, query).rig
-        assert mjoin(rig)[0] == []
+        assert list(mjoin_iter(rig)) == []
 
     def test_injective_enumeration(self, paper_context, paper_query, paper_graph):
         rig = build_rig(paper_context, paper_query).rig
-        occurrences, _, _ = mjoin(rig, injective=True)
+        occurrences = list(mjoin_iter(rig, injective=True))
         expected = set(bruteforce_isomorphisms(paper_graph, paper_query))
         assert set(occurrences) == expected
         # All paper-answer occurrences are injective here, so they coincide.
@@ -123,7 +128,7 @@ class TestMJoin:
     def test_single_node_query(self, paper_context):
         query = PatternQuery(["A"], [])
         rig = build_rig(paper_context, query).rig
-        occurrences, _, _ = mjoin(rig)
+        occurrences = list(mjoin_iter(rig))
         assert {occ[0] for occ in occurrences} == set(paper_context.graph.inverted_list("A"))
 
 

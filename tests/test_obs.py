@@ -2,7 +2,7 @@
 
 Covers the dependency-free ``repro.obs`` primitives — metric families,
 concurrent registry mutation, nearest-rank quantiles and the bounded
-reservoir, the tracer's sampling/forcing contract, and the structured
+reservoir, trace sampling/forcing and span documents, and the structured
 slow-query log — plus the in-process :class:`GraphDB` wiring: every layer
 mirrors into one registry, the legacy stats accessors keep their exact
 semantics (including reset-on-clear), and the registry counters stay
@@ -12,6 +12,7 @@ monotone across store GC.
 from __future__ import annotations
 
 import json
+import random
 import threading
 
 import pytest
@@ -21,15 +22,18 @@ from repro.exceptions import ServiceOverloadedError, StoreError
 from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    NULL_TRACE,
     Reservoir,
     SlowQueryLog,
+    Span,
+    SpanRecorder,
     Telemetry,
-    Trace,
-    Tracer,
+    TraceContext,
     new_trace_id,
     percentile,
+    trace_document,
+    trace_span,
 )
+from repro.obs.context import activate
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -315,44 +319,48 @@ class TestRegistryConcurrency:
 
 class TestTracer:
     def test_zero_sample_rate_returns_null_trace(self):
-        tracer = Tracer(sample_rate=0.0)
-        trace = tracer.trace("query")
-        assert trace is NULL_TRACE
+        telemetry = Telemetry(sample_rate=0.0)
+        trace = telemetry.trace_context()
+        assert trace is None
         assert not trace
-        assert trace.to_dict() is None
 
     def test_full_sample_rate_returns_real_trace(self):
-        tracer = Tracer(sample_rate=1.0)
-        trace = tracer.trace("query")
+        telemetry = Telemetry(sample_rate=1.0)
+        trace = telemetry.trace_context()
         assert trace
         assert trace.trace_id
 
     def test_explicit_trace_id_forces_tracing(self):
-        tracer = Tracer(sample_rate=0.0)
-        trace = tracer.trace("query", trace_id="forced01")
+        telemetry = Telemetry(sample_rate=0.0)
+        trace = telemetry.trace_context("forced01")
         assert trace
         assert trace.trace_id == "forced01"
 
-    def test_partial_sampling_is_deterministic_with_seed(self):
-        tracer = Tracer(sample_rate=0.5, seed=42)
-        sampled = [bool(tracer.trace("q")) for _ in range(200)]
+    def test_partial_sampling_is_deterministic_with_seed(self, monkeypatch):
+        monkeypatch.setattr(random, "random", random.Random(42).random)
+        telemetry = Telemetry(sample_rate=0.5)
+        sampled = [bool(telemetry.trace_context()) for _ in range(200)]
         assert any(sampled) and not all(sampled)
 
+    def test_unsampled_context_is_not_traced(self):
+        telemetry = Telemetry(sample_rate=1.0)
+        assert telemetry.trace_context(TraceContext("t1", None, False)) is None
+
     def test_null_trace_operations_are_noops(self):
-        NULL_TRACE.add_span("x", 1.0)
-        NULL_TRACE.annotate(a=1)
-        NULL_TRACE.finish()
-        with NULL_TRACE.span("y"):
-            pass
-        assert NULL_TRACE.trace_id is None
+        with trace_span("y") as span:
+            assert span is None
 
     def test_trace_spans_and_meta(self):
-        trace = Trace("query", trace_id="t1")
-        trace.add_span("plan", 0.25, engine="GM")
-        trace.add_span("negative_clamped", -1.0)
-        trace.annotate(status="ok")
-        trace.finish()
-        document = trace.to_dict()
+        root = Span("query", "t1")
+        stages = [
+            Span("plan", "t1", parent_id=root.span_id, engine="GM").finish(0.25),
+            Span("negative_clamped", "t1", parent_id=root.span_id).finish(-1.0),
+        ]
+        root.meta["status"] = "ok"
+        root.finish()
+        document = trace_document(
+            root.to_dict(), [stage.to_dict() for stage in stages]
+        )
         assert document["trace_id"] == "t1"
         assert [span["name"] for span in document["spans"]] == [
             "plan",
@@ -362,20 +370,23 @@ class TestTracer:
         assert document["spans"][1]["seconds"] == 0.0
         assert document["meta"]["status"] == "ok"
         assert document["seconds"] >= 0.0
+        assert document["span_id"] == root.span_id
+        assert all(span["parent_id"] == root.span_id for span in document["spans"])
 
-    def test_finish_latest_wins(self):
-        trace = Trace("query")
+    def test_refinish_never_shrinks(self):
+        trace = Span("query", "t1")
         trace.finish()
         first = trace.seconds
         trace.finish()
         assert trace.seconds >= first
 
     def test_span_context_manager_measures(self):
-        trace = Trace("query")
-        with trace.span("work"):
-            pass
-        assert trace.span_seconds() >= 0.0
-        assert trace.to_dict()["spans"][0]["name"] == "work"
+        recorder = SpanRecorder()
+        with activate(TraceContext("t1"), recorder=recorder):
+            with trace_span("work"):
+                pass
+        assert recorder.recent()[0]["seconds"] >= 0.0
+        assert recorder.recent()[0]["name"] == "work"
 
     def test_new_trace_ids_are_unique(self):
         identifiers = {new_trace_id() for _ in range(64)}
@@ -441,7 +452,7 @@ class TestSlowQueryLog:
 class TestTelemetryWiring:
     def test_telemetry_builds_parts_from_knobs(self):
         telemetry = Telemetry(sample_rate=1.0, slow_query_seconds=0.5)
-        assert telemetry.tracer.sample_rate == 1.0
+        assert telemetry.sample_rate == 1.0
         assert telemetry.slow_log.enabled
         assert telemetry.registry.names() == []
 

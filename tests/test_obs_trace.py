@@ -13,18 +13,24 @@ A real :class:`GraphServer` on a loopback socket, exercised through
   JSON and Prometheus form;
 * rejection-time load context (queue depth, worker occupancy) crosses the
   wire on :class:`ServiceOverloadedError`;
-* the ``slow_queries`` op returns structured entries with span trees.
+* the ``slow_queries`` op returns structured entries with span trees;
+* one traced read is one span tree in the tenant's span ring: the
+  server's op span, the query root and every stage, with the same span
+  ids ``extra["trace"]`` reports.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from fixtures_paper import build_paper_graph, build_paper_query
 from repro.api import GraphDB
-from repro.client import GraphClient
+from repro.client import GraphClient, RoutedClient
 from repro.exceptions import ServiceOverloadedError, StoreError
-from repro.obs import Telemetry, new_trace_id
+from repro.obs import Telemetry, assemble_trace, new_trace_id
+from repro.replication import ReplicaServer
 from repro.server import GraphCatalog, GraphServer
 from repro.server.protocol import decode_error, encode_error
 
@@ -119,6 +125,92 @@ class TestTracePropagation:
         with pytest.raises(QueryParseError) as excinfo:
             client.query("node a", trace_id="trace-parse")
         assert getattr(excinfo.value, "trace_id", None) == "trace-parse"
+
+
+# ---------------------------------------------------------------------- #
+# one traced read, one span tree
+# ---------------------------------------------------------------------- #
+
+
+def _descendants(node):
+    for child in node["children"]:
+        yield child["span"]
+        yield from _descendants(child)
+
+
+def assert_one_tree(spans, trace):
+    """``spans`` (a span-ring sweep) assemble into one tree containing
+    every stage span the report's ``extra["trace"]`` lists."""
+    tree = assemble_trace(spans, trace_id=trace["trace_id"])
+    assert len(tree["roots"]) == 1
+    assert tree["orphans"] == []
+    descendants = list(_descendants(tree["root"]))
+    ids = {span["span_id"] for span in [tree["root"]["span"], *descendants]}
+    assert trace["span_id"] in ids
+    assert {span["span_id"] for span in trace["spans"]} <= ids
+    assert all(
+        span["parent_id"] == trace["span_id"] for span in trace["spans"]
+    )
+    return tree, {span["name"] for span in descendants}
+
+
+class TestOneSpanTree:
+    def test_traced_remote_query_is_one_tree(self, client):
+        trace_id = new_trace_id()
+        report = client.query(build_paper_query(), trace_id=trace_id)
+        tree, names = assert_one_tree(
+            client.trace_spans(trace_id), report.extra["trace"]
+        )
+        assert tree["root"]["span"]["name"] == "query"
+        for required in ["queue_wait", "pin", "plan", "stream_drain", "wire_encode"]:
+            assert required in names, required
+
+    def test_traced_remote_stream_is_one_tree(self, client):
+        trace_id = new_trace_id()
+        stream = client.stream(build_paper_query(), page_size=1, trace_id=trace_id)
+        list(stream)
+        trace = stream.report().extra["trace"]
+        # The op span is recorded when the pump exits, just after the end
+        # frame went out.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            spans = client.trace_spans(trace_id)
+            if any(span["name"] == "stream" for span in spans):
+                break
+            time.sleep(0.01)
+        tree, names = assert_one_tree(spans, trace)
+        assert tree["root"]["span"]["name"] == "stream"
+        assert {"queue_wait", "pin", "plan", "stream_drain", "wire_encode"} <= names
+
+    def test_traced_routed_read_is_one_tree(self, server):
+        host, port = server.address
+        graph = build_paper_graph()
+        with GraphClient(host, port) as cli:
+            cli.create_graph("paper", labels=graph.labels, edges=graph.edges())
+        replica = ReplicaServer(host, port, node="replica-0")
+        replica.start()
+        routed = RoutedClient((host, port), replicas=[replica.address], graph="paper")
+        try:
+            trace_id = new_trace_id()
+            report = routed.query(build_paper_query(), trace_id=trace_id)
+            tree, names = assert_one_tree(
+                routed.trace_spans(trace_id), report.extra["trace"]
+            )
+            assert tree["root"]["span"]["name"] == "query"
+            assert tree["root"]["span"]["node"] == "replica-0"
+            assert {"queue_wait", "pin", "plan", "stream_drain", "wire_encode"} <= names
+        finally:
+            routed.close()
+            replica.close()
+
+    def test_local_traced_query_is_one_tree(self):
+        graph = build_paper_graph()
+        with GraphDB.from_edges(graph.labels, graph.edges()) as db:
+            report = db.query(build_paper_query(), trace_id="local-1")
+            spans = db.trace_spans("local-1")
+        tree, names = assert_one_tree(spans, report.extra["trace"])
+        assert tree["root"]["span"]["span_id"] == report.extra["trace"]["span_id"]
+        assert {"queue_wait", "pin", "plan", "stream_drain"} <= names
 
 
 # ---------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import bruteforce_homomorphisms
 from repro.graph.digraph import DataGraph
-from repro.matching.mjoin import mjoin
+from repro.matching.mjoin import mjoin_iter
 from repro.matching.result import Budget
 from repro.query.generators import random_pattern_query
 from repro.rig.build import build_match_rig, build_rig
@@ -91,7 +91,7 @@ def test_mjoin_over_rig_equals_bruteforce(data):
     graph, query = data
     context = MatchContext(graph)
     rig = build_rig(context, query).rig
-    occurrences, _, _ = mjoin(rig, budget=UNLIMITED)
+    occurrences = list(mjoin_iter(rig, budget=UNLIMITED))
     expected = set(bruteforce_homomorphisms(graph, query, reachability=context.reachability))
     assert set(occurrences) == expected
 
@@ -103,6 +103,6 @@ def test_mjoin_over_match_rig_equals_bruteforce(data):
     graph, query = data
     context = MatchContext(graph)
     rig = build_match_rig(context, query).rig
-    occurrences, _, _ = mjoin(rig, budget=UNLIMITED)
+    occurrences = list(mjoin_iter(rig, budget=UNLIMITED))
     expected = set(bruteforce_homomorphisms(graph, query, reachability=context.reachability))
     assert set(occurrences) == expected

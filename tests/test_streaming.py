@@ -8,12 +8,10 @@ Covers the new execution primitives across the matcher layer:
   produce the first ``k`` matches is measured (candidate-expansion /
   adjacency-read counters), not guessed from wall clocks;
 * early termination — closing a generator mid-search stops it;
-* the deprecation shim for legacy blocking ``_evaluate``-only engines.
+* an engine that implements no ``_iter_evaluate`` fails loudly.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -299,11 +297,7 @@ class TestLaziness:
         assert full_reads > 4 * first_match_reads
 
     def test_gm_first_match_expands_far_fewer_candidates(self, monkeypatch):
-        import importlib
-
-        # The package re-exports the ``mjoin`` *function* under the same
-        # name as the submodule; go through importlib for the module.
-        mjoin_module = importlib.import_module("repro.matching.mjoin")
+        import repro.matching.mjoin as mjoin_module
 
         calls = {"n": 0}
         original = mjoin_module._local_candidates
@@ -340,40 +334,11 @@ class TestLaziness:
 
 
 # ---------------------------------------------------------------------- #
-# legacy blocking engines: shimmed, warned, still correct
+# engines must stream
 # ---------------------------------------------------------------------- #
 
 
-class LegacyEngine(Engine):
-    """A pre-streaming engine: only implements the blocking ``_evaluate``."""
-
-    name = "legacy"
-
-    def _evaluate(self, graph, query, budget):
-        occurrences = []
-        for occurrence in itertools.product(*(
-            graph.inverted_list(query.label(node)) for node in query.nodes()
-        )):
-            if all(
-                graph.has_edge(occurrence[edge.source], occurrence[edge.target])
-                for edge in query.edges()
-            ):
-                occurrences.append(tuple(occurrence))
-                if budget.max_matches is not None and len(occurrences) >= budget.max_matches:
-                    break
-        return occurrences
-
-
 class TestLegacyShim:
-    def test_blocking_evaluate_warns_but_matches(self):
-        graph = build_paper_graph()
-        query = path_query()  # child-only, small enough for the brute force
-        engine = LegacyEngine(graph)
-        reference = BinaryJoinEngine(graph).match(query)
-        with pytest.warns(DeprecationWarning, match="bypassing the streaming budget"):
-            result = engine.match(query)
-        assert result.report.occurrence_set() == reference.report.occurrence_set()
-
     def test_engine_without_any_evaluate_raises(self):
         class Empty(Engine):
             name = "empty"
